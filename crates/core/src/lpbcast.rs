@@ -380,7 +380,6 @@ impl<S: GossipMembership> GossipProtocol for LpbcastNode<S> {
             .iter()
             .map(|p| (p.len() + std::mem::size_of::<Payload>()) as u64)
             .sum();
-        let view = self.membership.view_size() as u64;
         vec![
             ("event_buffer", self.events.mem_usage()),
             ("event_ids", self.ids.mem_usage()),
@@ -388,10 +387,7 @@ impl<S: GossipMembership> GossipProtocol for LpbcastNode<S> {
                 "pending_offers",
                 MemUsage::new(pending_bytes, self.pending.len() as u64),
             ),
-            (
-                "membership_view",
-                MemUsage::new(view * std::mem::size_of::<NodeId>() as u64, view),
-            ),
+            ("membership_view", self.membership.view_mem()),
         ]
     }
 }

@@ -200,3 +200,60 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The compact id history behaves exactly like a FIFO-bounded set
+    /// (the `Vec` model above) for 1–8 origins, whatever the seq shape:
+    /// dense runs with out-of-order jitter, wide gaps past a dense
+    /// window's reach, arbitrary `u64` seqs, and re-insertion of ids
+    /// after their eviction. Capacity 0 remembers nothing.
+    #[test]
+    fn id_buffer_matches_fifo_model_across_origins(
+        capacity in 0usize..96,
+        origins in 1u32..9,
+        ops in proptest::collection::vec((0u32..8, 0u8..4, any::<u64>()), 0..400),
+    ) {
+        let mut buf = EventIdBuffer::new(capacity);
+        let mut model: Vec<EventId> = Vec::new(); // insertion-ordered, unique
+        let mut evicted: Vec<EventId> = Vec::new();
+        let mut next = [0u64; 8];
+        for (origin, shape, raw) in ops {
+            let origin = origin % origins;
+            let head = &mut next[origin as usize];
+            let seq = match shape {
+                0 | 1 => {
+                    *head += 1;
+                    head.saturating_sub(raw % 6)
+                }
+                2 => {
+                    *head += raw % 400;
+                    *head
+                }
+                _ => raw,
+            };
+            let id = match shape {
+                0 if !evicted.is_empty() => evicted[(raw % evicted.len() as u64) as usize],
+                _ => EventId::new(NodeId::new(origin), seq),
+            };
+            let was_new = buf.insert(id);
+            let model_new = capacity == 0 || !model.contains(&id);
+            prop_assert_eq!(was_new, model_new);
+            if capacity > 0 && model_new {
+                model.push(id);
+                if model.len() > capacity {
+                    evicted.push(model.remove(0));
+                }
+            }
+            prop_assert_eq!(buf.len(), model.len());
+            prop_assert_eq!(buf.contains(id), capacity > 0);
+        }
+        for &id in &model {
+            prop_assert!(buf.contains(id));
+        }
+        for &id in &evicted {
+            prop_assert_eq!(buf.contains(id), model.contains(&id));
+        }
+    }
+}

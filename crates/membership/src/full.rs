@@ -26,48 +26,22 @@ use crate::sampler::PeerSampler;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FullView {
-    members: Vec<NodeId>,
-    /// Whether `members[i] == NodeId::new(i)` for every slot, making the
-    /// exclude position an O(1) lookup on the sampling hot path.
-    canonical: bool,
+    /// Members are exactly `n0 … n_{size-1}`, so the view is its size:
+    /// no per-member storage, O(1) membership tests.
+    size: usize,
 }
 
 impl FullView {
     /// Creates a view over nodes `0..size`.
     pub fn new(size: usize) -> Self {
-        FullView {
-            members: (0..size as u32).map(NodeId::new).collect(),
-            canonical: true,
-        }
-    }
-
-    /// Creates a view over an explicit member list.
-    pub fn from_members(members: Vec<NodeId>) -> Self {
-        let canonical = members.iter().enumerate().all(|(i, m)| m.index() == i);
-        FullView { members, canonical }
-    }
-
-    /// The member list.
-    pub fn members(&self) -> &[NodeId] {
-        &self.members
-    }
-
-    fn position_of(&self, node: NodeId) -> Option<usize> {
-        if self.canonical {
-            let i = node.index();
-            (i < self.members.len()).then_some(i)
-        } else {
-            self.members.iter().position(|&m| m == node)
-        }
+        FullView { size }
     }
 }
 
 impl agb_profile::MemReport for FullView {
     fn mem_usage(&self) -> agb_profile::MemUsage {
-        agb_profile::MemUsage::new(
-            (self.members.len() * std::mem::size_of::<NodeId>()) as u64,
-            self.members.len() as u64,
-        )
+        // Just the size: there are no per-member entries.
+        agb_profile::MemUsage::new(std::mem::size_of::<Self>() as u64, 0)
     }
 }
 
@@ -77,16 +51,16 @@ impl PeerSampler for FullView {
         // candidate list here made every simulated round O(N²) in the
         // group size. Instead, sample indices from the (virtual) list
         // with the excluded slot spliced out.
-        let n = self.members.len();
-        let excl = self.position_of(exclude);
+        let n = self.size;
+        let excl = self.contains(exclude).then_some(exclude.index());
         let candidates = n - usize::from(excl.is_some());
         if candidates == 0 || fanout == 0 {
             return Vec::new();
         }
         let amount = fanout.min(candidates);
         let pick = |i: usize| match excl {
-            Some(p) if i >= p => self.members[i + 1],
-            _ => self.members[i],
+            Some(p) if i >= p => NodeId::new((i + 1) as u32),
+            _ => NodeId::new(i as u32),
         };
         index::sample(rng, candidates, amount)
             .iter()
@@ -95,15 +69,19 @@ impl PeerSampler for FullView {
     }
 
     fn contains(&self, node: NodeId) -> bool {
-        self.members.contains(&node)
+        node.index() < self.size
     }
 
     fn view_size(&self) -> usize {
-        self.members.len()
+        self.size
     }
 
     fn view(&self) -> Vec<NodeId> {
-        self.members.clone()
+        (0..self.size as u32).map(NodeId::new).collect()
+    }
+
+    fn view_mem(&self) -> agb_profile::MemUsage {
+        agb_profile::MemReport::mem_usage(self)
     }
 }
 
@@ -165,11 +143,14 @@ mod tests {
     }
 
     #[test]
-    fn from_members_and_contains() {
-        let view = FullView::from_members(vec![NodeId::new(5), NodeId::new(9)]);
-        assert!(view.contains(NodeId::new(5)));
-        assert!(!view.contains(NodeId::new(1)));
-        assert_eq!(view.members(), &[NodeId::new(5), NodeId::new(9)]);
-        assert_eq!(view.view().len(), 2);
+    fn contains_and_view() {
+        let view = FullView::new(3);
+        assert!(view.contains(NodeId::new(2)));
+        assert!(!view.contains(NodeId::new(3)));
+        assert_eq!(
+            view.view(),
+            vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)]
+        );
+        assert_eq!(view.view_mem().entries, 0);
     }
 }

@@ -170,6 +170,15 @@ impl<S: PeerSampler> PeerSampler for LocalitySampler<S> {
     fn view(&self) -> Vec<NodeId> {
         self.inner.view()
     }
+
+    fn view_mem(&self) -> agb_profile::MemUsage {
+        let mut usage = self.inner.view_mem();
+        usage.add(agb_profile::MemUsage::new(
+            (self.neighbors.len() * std::mem::size_of::<NodeId>()) as u64,
+            self.neighbors.len() as u64,
+        ));
+        usage
+    }
 }
 
 impl<S: GossipMembership> GossipMembership for LocalitySampler<S> {
@@ -322,7 +331,7 @@ mod tests {
         assert_eq!(s.neighbors(), &[NodeId::new(1)]);
         assert_eq!(s.view_size(), 4);
         assert!(s.contains(NodeId::new(3)));
-        assert_eq!(s.inner().members().len(), 4);
+        assert_eq!(s.inner().view_size(), 4);
         let low = LocalitySampler::new(FullView::new(4), vec![], -3.0);
         assert_eq!(low.escape(), 0.0);
     }

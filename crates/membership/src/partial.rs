@@ -313,6 +313,10 @@ impl PeerSampler for PartialView {
     fn view(&self) -> Vec<NodeId> {
         self.view.clone()
     }
+
+    fn view_mem(&self) -> agb_profile::MemUsage {
+        agb_profile::MemReport::mem_usage(self)
+    }
 }
 
 #[cfg(test)]

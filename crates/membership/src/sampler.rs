@@ -39,6 +39,14 @@ pub trait PeerSampler {
 
     /// Snapshot of the current view (order unspecified).
     fn view(&self) -> Vec<NodeId>;
+
+    /// Resident bytes and entries the view holds, for memory
+    /// attribution. The default assumes one `NodeId` slot per member,
+    /// which is what a list-backed view holds.
+    fn view_mem(&self) -> agb_profile::MemUsage {
+        let n = self.view_size() as u64;
+        agb_profile::MemUsage::new(n * std::mem::size_of::<NodeId>() as u64, n)
+    }
 }
 
 #[cfg(test)]

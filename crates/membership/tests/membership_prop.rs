@@ -6,7 +6,34 @@ use agb_membership::{
 };
 use agb_types::{DetRng, NodeId};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::seq::index;
+use rand::{RngCore, SeedableRng};
+
+/// The list-backed full view's sampler, kept as the oracle for the
+/// size-only `FullView`: it held every member in a `Vec`, located the
+/// caller by position and sampled indices with that slot spliced out.
+fn list_view_sample(
+    members: &[NodeId],
+    rng: &mut DetRng,
+    fanout: usize,
+    exclude: NodeId,
+) -> Vec<NodeId> {
+    let n = members.len();
+    let excl = members.iter().position(|&m| m == exclude);
+    let candidates = n - usize::from(excl.is_some());
+    if candidates == 0 || fanout == 0 {
+        return Vec::new();
+    }
+    let amount = fanout.min(candidates);
+    let pick = |i: usize| match excl {
+        Some(p) if i >= p => members[i + 1],
+        _ => members[i],
+    };
+    index::sample(rng, candidates, amount)
+        .iter()
+        .map(pick)
+        .collect()
+}
 
 proptest! {
     /// Full-view samples are distinct, never the caller, and of the
@@ -171,5 +198,37 @@ proptest! {
         prop_assert!(digest.subs.len() <= config.digest_subs);
         prop_assert!(digest.unsubs.len() <= config.digest_unsubs);
         prop_assert!(digest.subs.contains(&me));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `FullView` draws exactly what the list-backed view drew, from the
+    /// same RNG, leaving the RNG in the same state: callers inside and
+    /// outside the group, fanouts from 0 past the group size, groups of
+    /// 0 to 300.
+    #[test]
+    fn full_view_draws_match_the_list_backed_oracle(
+        n in 0usize..300,
+        fanout in 0usize..320,
+        exclude in 0u32..400,
+        seed in any::<u64>(),
+        rounds in 1usize..6,
+    ) {
+        let members: Vec<NodeId> = (0..n as u32).map(NodeId::new).collect();
+        let view = FullView::new(n);
+        let exclude = NodeId::new(exclude);
+        let mut ours = DetRng::seed_from_u64(seed);
+        let mut oracle = DetRng::seed_from_u64(seed);
+        for _ in 0..rounds {
+            prop_assert_eq!(
+                view.sample(&mut ours, fanout, exclude),
+                list_view_sample(&members, &mut oracle, fanout, exclude)
+            );
+        }
+        prop_assert_eq!(ours.next_u64(), oracle.next_u64());
+        prop_assert_eq!(view.contains(exclude), members.contains(&exclude));
+        prop_assert_eq!(view.view(), members);
     }
 }

@@ -110,10 +110,10 @@ proptest! {
 /// trips the cap.
 #[test]
 fn n10000_per_node_resident_bytes_stay_bounded() {
-    // Generous headroom above the current measured footprint (see
-    // PROFILE.json: the committed n10000 row) while still far below a
-    // node-count-scaling blowup.
-    const PER_NODE_CAP_BYTES: u64 = 96 * 1024;
+    // At most 1.25x the committed n10000 row of PROFILE.json (30,507
+    // bytes per node): a view or id history that grows back toward its
+    // old size trips it, and so does a node-count-scaling blowup.
+    const PER_NODE_CAP_BYTES: u64 = 37 * 1024;
 
     let mut cluster = GossipCluster::build(profile_cluster(10_000, true, 42));
     cluster.run_until(TimeMs::from_secs(8));
@@ -153,4 +153,25 @@ fn profile_attribution_is_reproducible() {
         (cluster.sim_stats().checksum, mem_rows(&cluster))
     };
     assert_eq!(run(), run());
+}
+
+/// Guard against the N² term coming back: a full-membership cluster of
+/// 100,000 nodes holds each node's view in O(1) bytes. A list-backed
+/// view costs 4·n bytes per node, 40 GB for this cluster, so with one
+/// this test could not even build its cluster.
+#[test]
+fn full_membership_views_are_o1_per_node_at_n100000() {
+    const N: u64 = 100_000;
+    let cluster = GossipCluster::build(profile_cluster(N as usize, false, 42));
+    let mem = cluster.mem_table();
+    let (_, view) = mem
+        .rows()
+        .iter()
+        .find(|(label, _)| label == "membership_view")
+        .expect("membership_view row");
+    assert!(
+        view.bytes <= 16 * N,
+        "membership views hold {} bytes per node",
+        view.bytes / N
+    );
 }
